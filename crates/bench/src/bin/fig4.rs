@@ -9,7 +9,8 @@
 //!        [--engine vm|walker] [--json PATH] [--quick]
 //!
 //! `--engine` selects the minic execution engine for every machine in the
-//! run (guest `run()` driver, host-fallback, replay): the register
+//! run (each variant's runner, whose machine also runs host fallback and
+//! replay, and the host-sequential series): the register
 //! bytecode VM (default) or the tree-walking oracle. Checksums and
 //! simulated clocks are bit-identical between the two; only wall time
 //! differs. `--json PATH` additionally writes a machine-readable
@@ -66,6 +67,7 @@
 use std::sync::Arc;
 
 use gpusim::ExecMode;
+use minic::interp::Engine;
 use unibench::{
     all_apps, app_by_name, build_variant_cfg, host_machine, measure, output_checksum,
     run_host_once, runner_config, Variant,
@@ -185,12 +187,15 @@ fn main() {
             }
         }
     }
-    // Every Machine built after this point (runner, host-fallback, replay,
-    // host-sequential series) picks the engine up at construction.
-    std::env::set_var("OMPI_ENGINE", &engine);
+    let engine_kind = if engine == "walker" { Engine::Walker } else { Engine::Vm };
 
-    let obs =
-        if trace_path.is_some() || profile { obs::Obs::enabled() } else { obs::Obs::disabled() };
+    // This binary is the process edge: it reads `OMPI_FLIGHT_DUMP` itself
+    // for the explicit sink every runner shares.
+    let flight_dump = std::env::var("OMPI_FLIGHT_DUMP")
+        .ok()
+        .filter(|p| !p.trim().is_empty())
+        .map(std::path::PathBuf::from);
+    let obs = obs::Obs::new(trace_path.is_some() || profile, flight_dump);
 
     let mode = if full { ExecMode::Functional } else { ExecMode::Sampled { max_blocks } };
     let work = std::env::temp_dir().join("ompi-fig4");
@@ -234,6 +239,7 @@ fn main() {
                     cfg.job_timeout = job_timeout_ms.map(std::time::Duration::from_millis);
                 }
                 let built = build_variant_cfg(&app, variant, &work, &cfg);
+                built.runner.machine.set_engine(engine_kind);
                 // Runner::call drains the machine's VM counters into obs
                 // metrics at the host-shim pid; the delta is this run's.
                 let pid = built.runner.registry().num_devices() as u64;
@@ -305,6 +311,7 @@ fn main() {
             // which the bench-smoke CI gate watches for regressions.
             let n = app.bench_size;
             let m = host_machine(&app, n).unwrap();
+            m.set_engine(engine_kind);
             let t0 = std::time::Instant::now();
             let out = run_host_once(&app, &m, n)
                 .unwrap_or_else(|e| panic!("{} host-seq failed at n={n}: {e}", app.name));
@@ -397,7 +404,7 @@ fn render_json(engine: &str, mode: &str, rows: &[JsonRow]) -> String {
 fn hotspot_table(app: &unibench::App) -> String {
     let n = app.test_size;
     let m = host_machine(app, n).unwrap_or_else(|e| panic!("{} hotspots: {e}", app.name));
-    m.set_engine(minic::interp::Engine::Vm);
+    m.set_engine(Engine::Vm);
     m.set_hotspots(true);
     run_host_once(app, &m, n)
         .unwrap_or_else(|e| panic!("{} hotspot pass failed at n={n}: {e}", app.name));

@@ -1,5 +1,5 @@
-//! Config resolution: the one place `OMPI_*` runner knobs are read from
-//! the environment.
+//! Config resolution and the device fleet: the one place the library
+//! reads `OMPI_*` variables from the environment.
 //!
 //! [`RunnerConfig`] keeps the user-facing builder shape — tunable fields
 //! are `Option`s so "explicitly set" and "left at default" are different
@@ -15,12 +15,19 @@
 //! `OMPI_GUEST_FUEL` has taken since the guest governor landed. Long-lived
 //! processes (the `serve` batch server) resolve once at startup and run
 //! every job from the snapshot, so a mid-run `setenv` can never
-//! reconfigure tenants behind their backs.
+//! reconfigure tenants behind their backs. The crates below `core` (minic,
+//! obs, gpusim, cudadev) take explicit values and never read the
+//! environment themselves.
+//!
+//! [`ResolvedConfig::build_fleet`] turns a snapshot into devices; it is the
+//! only fleet builder, shared by the standalone runner and the batch
+//! server.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cudadev::RetryPolicy;
+use cudadev::{CudaDev, CudaDevConfig, RetryPolicy};
 use gpusim::{ExecMode, FaultPlan};
 use minic::limits::GuestLimits;
 
@@ -47,6 +54,8 @@ pub enum ConfigError {
     /// A parsed byte count that does not fit `usize` on this target —
     /// previously a silent `as usize` wrap on 32-bit.
     Overflow { var: &'static str, bytes: u64 },
+    /// `FaultPlan::parse_for_device` rejected the plan text.
+    FaultPlan { var: &'static str, msg: String },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -58,7 +67,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Bool { var, value } => {
                 write!(f, "{var}: `{value}` is not a boolean (use 1/true/on/yes or 0/false/off/no)")
             }
-            ConfigError::Size { var, msg } => write!(f, "{var}: {msg}"),
+            ConfigError::Size { var, msg } | ConfigError::FaultPlan { var, msg } => {
+                write!(f, "{var}: {msg}")
+            }
             ConfigError::Overflow { var, bytes } => {
                 write!(f, "{var}: {bytes} bytes does not fit in usize on this target")
             }
@@ -76,12 +87,14 @@ pub struct ResolvedConfig {
     pub host_mem: usize,
     pub device_mem: usize,
     pub exec_mode: ExecMode,
-    pub jit_cache_dir: std::path::PathBuf,
+    pub jit_cache_dir: PathBuf,
     pub launch_sampling: bool,
     pub num_devices: usize,
     pub async_streams: bool,
+    /// Device 0's fault plan. `None` means no faults.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    pub fault_spec: Option<String>,
+    /// Fault plans of devices `1..num_devices`, in device order.
+    pub other_fault_plans: Vec<Option<Arc<FaultPlan>>>,
     pub retry: RetryPolicy,
     pub launch_timeout: Duration,
     pub max_resets: u32,
@@ -90,13 +103,25 @@ pub struct ResolvedConfig {
     pub guest_stack: Option<u32>,
     pub job_timeout: Option<Duration>,
     pub obs: Option<Arc<obs::Obs>>,
+    /// `OMPI_TRACE`: where a runner that owns its sink writes the Chrome
+    /// trace on drop (tracing is on iff this is set).
+    pub trace_path: Option<PathBuf>,
+    /// `OMPI_PROFILE`: print the per-device profile table on drop.
+    pub profile: bool,
+    /// `OMPI_HOTSPOTS`: collect guest-source attribution on every job's
+    /// machine, and print the hotspot table on drop.
+    pub hotspots: bool,
+    /// `OMPI_FLIGHT_DUMP`: the flight recorder's dump path for a sink the
+    /// runner or server creates itself.
+    pub flight_dump: Option<PathBuf>,
 }
 
 impl ResolvedConfig {
     /// Snapshot for the OpenMP offload path: all of `OMPI_DEV_MEM`,
     /// `OMPI_ASYNC`, `OMPI_LAUNCH_TIMEOUT_MS`, `OMPI_MAX_RESETS`,
-    /// `OMPI_JOB_TIMEOUT_MS` and the `OMPI_GUEST_*` limits may apply
-    /// (each only where the config left the field unset).
+    /// `OMPI_JOB_TIMEOUT_MS`, the `OMPI_GUEST_*` limits, `OMPI_FAULT_PLAN`
+    /// and the obs variables may apply (each only where the config left
+    /// the field unset).
     pub fn resolve(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
         Self::resolve_inner(cfg, true)
     }
@@ -104,7 +129,8 @@ impl ResolvedConfig {
     /// Snapshot for the pure-CUDA baseline: the device knobs come from the
     /// config alone (`OMPI_DEV_MEM` would just crash a baseline that
     /// manages raw device memory itself), while the job deadline and guest
-    /// limits still honour their env vars.
+    /// limits, the fault plan and the obs variables still honour their env
+    /// vars.
     pub fn resolve_cuda(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
         Self::resolve_inner(cfg, false)
     }
@@ -148,6 +174,13 @@ impl ResolvedConfig {
             Some(s) => Some(s),
             None => env_u32("OMPI_GUEST_STACK")?,
         };
+        let mut fault_plans = resolve_fault_plans(cfg)?.into_iter();
+        // An explicit sink means the caller owns export: the obs variables
+        // would apply to nothing, so they stay unread. Their flags are
+        // forgiving (an unrecognized value is "off"), but go through the
+        // one strict vocabulary so `OMPI_PROFILE=off` never means on.
+        let obs_env = |var| if cfg.obs.is_none() { env_text(var) } else { None };
+        let obs_flag = |var| obs_env(var).and_then(|v| obs::parse_bool(&v)).unwrap_or(false);
         Ok(ResolvedConfig {
             host_mem: cfg.host_mem,
             device_mem,
@@ -156,8 +189,8 @@ impl ResolvedConfig {
             launch_sampling: cfg.launch_sampling,
             num_devices: cfg.num_devices,
             async_streams,
-            fault_plan: cfg.fault_plan.clone(),
-            fault_spec: cfg.fault_spec.clone(),
+            fault_plan: fault_plans.next().flatten(),
+            other_fault_plans: fault_plans.collect(),
             retry: cfg.retry,
             launch_timeout,
             max_resets,
@@ -166,7 +199,46 @@ impl ResolvedConfig {
             guest_stack,
             job_timeout,
             obs: cfg.obs.clone(),
+            trace_path: obs_env("OMPI_TRACE").map(PathBuf::from),
+            profile: obs_flag("OMPI_PROFILE"),
+            hotspots: obs_flag("OMPI_HOTSPOTS"),
+            flight_dump: obs_env("OMPI_FLIGHT_DUMP").map(PathBuf::from),
         })
+    }
+
+    /// Device `dev`'s fault plan (`None` = no faults).
+    pub fn fault_plan_of(&self, dev: usize) -> Option<Arc<FaultPlan>> {
+        match dev {
+            0 => self.fault_plan.clone(),
+            _ => self.other_fault_plans.get(dev - 1).cloned().flatten(),
+        }
+    }
+
+    /// The device fleet this snapshot describes: `num_devices` simulated
+    /// GPUs loading kernels from `kernel_dir`, each with its own clock,
+    /// breaker and fault plan, all recording into `obs`. Standalone
+    /// runners wrap it in their own registry; the batch server hands it
+    /// to its scheduler.
+    pub fn build_fleet(&self, kernel_dir: &Path, obs: &Arc<obs::Obs>) -> Vec<Arc<CudaDev>> {
+        (0..self.num_devices)
+            .map(|i| {
+                Arc::new(CudaDev::new(CudaDevConfig {
+                    device_id: i as u32,
+                    global_mem: self.device_mem,
+                    kernel_dir: kernel_dir.to_path_buf(),
+                    jit_cache_dir: self.jit_cache_dir.clone(),
+                    exec_mode: self.exec_mode,
+                    launch_sampling: self.launch_sampling,
+                    async_streams: self.async_streams,
+                    fault_plan: self.fault_plan_of(i),
+                    retry: self.retry,
+                    launch_timeout: self.launch_timeout,
+                    max_resets: self.max_resets,
+                    obs: obs.clone(),
+                    ..CudaDevConfig::default()
+                }))
+            })
+            .collect()
     }
 
     /// The guest governor state for one job's machine, built from the
@@ -180,6 +252,37 @@ impl ResolvedConfig {
         }
         l
     }
+}
+
+/// Every device's fault plan, parsed and checked now rather than at lazy
+/// device init (where a bad plan would turn into a silent host fallback).
+/// An explicit `fault_spec` sets every device and an explicit `fault_plan`
+/// sets device 0; `OMPI_FAULT_PLAN` is read only if some device is left
+/// unset, and applies only to those devices.
+fn resolve_fault_plans(cfg: &RunnerConfig) -> Result<Vec<Option<Arc<FaultPlan>>>, ConfigError> {
+    let parse = |var, text: &str, dev: usize| {
+        FaultPlan::parse_for_device(text, dev as u32)
+            .map(Arc::new)
+            .map_err(|e| ConfigError::FaultPlan { var, msg: e.to_string() })
+    };
+    let mut env = None;
+    (0..cfg.num_devices)
+        .map(|dev| match (&cfg.fault_spec, &cfg.fault_plan) {
+            (Some(spec), _) => parse("RunnerConfig::fault_spec", spec, dev).map(Some),
+            (None, Some(p)) if dev == 0 => Ok(Some(p.clone())),
+            _ => match env.get_or_insert_with(|| env_text("OMPI_FAULT_PLAN")) {
+                Some(text) => {
+                    parse("OMPI_FAULT_PLAN", text, dev).map(|p| (!p.is_empty()).then_some(p))
+                }
+                None => Ok(None),
+            },
+        })
+        .collect()
+}
+
+/// The variable's value, if set and not blank.
+fn env_text(var: &str) -> Option<String> {
+    std::env::var(var).ok().filter(|s| !s.trim().is_empty())
 }
 
 fn env_u64(var: &'static str) -> Result<Option<u64>, ConfigError> {

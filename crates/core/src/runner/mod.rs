@@ -9,7 +9,7 @@
 //! drive several simulated GPUs with independent clocks, fault plans, and
 //! broken-device latches.
 
-use cudadev::{CudaDev, CudaDevConfig, DevClock, RetryPolicy};
+use cudadev::{DevClock, RetryPolicy};
 use devmod::{DeviceModule, DeviceRegistry};
 use gpusim::{ExecMode, FaultPlan};
 use minic::interp::{Hooks, IResult, Interp, InterpError, Machine};
@@ -54,13 +54,14 @@ pub struct RunnerConfig {
     /// simulated clock (results stay bit-identical — execution is eager).
     /// `None` defers to `OMPI_ASYNC` (strict boolean), then `false`.
     pub async_streams: Option<bool>,
-    /// Deterministic fault-injection plan for device 0 (tests). `None`
-    /// falls back to the `OMPI_FAULT_PLAN` environment variable, whose
+    /// Deterministic fault-injection plan for device 0 (tests). Devices
+    /// this leaves unset take their share of `OMPI_FAULT_PLAN`, whose
     /// `devN:`-prefixed rules scope to device `N`. For programmatic
     /// multi-device plans use [`RunnerConfig::fault_spec`] instead.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Fault-plan source text with optional `devN:` prefixes, parsed once
-    /// per device. Takes precedence over [`RunnerConfig::fault_plan`].
+    /// per device at resolve time. Sets every device's plan, and takes
+    /// precedence over [`RunnerConfig::fault_plan`].
     pub fault_spec: Option<String>,
     /// Retry policy for transient driver faults.
     pub retry: RetryPolicy,
@@ -87,12 +88,13 @@ pub struct RunnerConfig {
     /// armed at every [`Runner::call`] and checked at the engines'
     /// fuel-check boundary. `None` = no deadline.
     pub job_timeout: Option<std::time::Duration>,
-    /// Explicit observability sink (tracer + metrics). `None` resolves the
-    /// `OMPI_TRACE` / `OMPI_PROFILE` environment variables: a set
+    /// Explicit observability sink (tracer + metrics). `None` makes the
+    /// runner create its own sink from the `OMPI_TRACE`, `OMPI_PROFILE`,
+    /// `OMPI_HOTSPOTS` and `OMPI_FLIGHT_DUMP` environment variables: a set
     /// `OMPI_TRACE` makes the runner write Chrome trace-event JSON there on
     /// drop, and `OMPI_PROFILE=1` prints the per-device profile table to
-    /// stderr. An explicit sink suppresses both automatic outputs — the
-    /// caller owns export.
+    /// stderr. An explicit sink leaves all four unread — the caller owns
+    /// export.
     pub obs: Option<Arc<obs::Obs>>,
 }
 
@@ -120,44 +122,33 @@ impl Default for RunnerConfig {
     }
 }
 
-/// How a runner's observability was resolved (explicit sink vs env vars).
+/// How a runner's observability was resolved (explicit sink vs a sink the
+/// runner creates from the snapshot).
 struct ObsSetup {
     obs: Arc<obs::Obs>,
-    /// Write the trace here on drop (env-var mode only).
-    trace_path: Option<std::path::PathBuf>,
-    /// Print the profile table to stderr on drop (env-var mode only).
-    profile: bool,
-    /// Print the guest-source hotspot table to stderr on drop
-    /// (`OMPI_HOTSPOTS=1`; env-var mode only).
-    hotspots: bool,
-    /// The runner owns this sink (env-var mode): it may fire the
-    /// last-chance flight post-mortem at drop. An explicit shared sink
-    /// must not — a short-lived runner would consume the one dump out
-    /// from under longer-lived ones (first-trigger-wins).
-    env_owned: bool,
+    /// The runner created this sink: it performs the snapshot's drop-time
+    /// exports and may fire the last-chance flight post-mortem. An
+    /// explicit shared sink must not — a short-lived runner would consume
+    /// the one dump out from under longer-lived ones (first-trigger-wins).
+    owned: bool,
 }
 
 impl ObsSetup {
     fn resolve(cfg: &ResolvedConfig) -> ObsSetup {
-        if let Some(o) = &cfg.obs {
-            return ObsSetup {
-                obs: o.clone(),
-                trace_path: None,
-                profile: false,
-                hotspots: false,
-                env_owned: false,
-            };
-        }
-        let env = obs::ObsEnv::from_env();
-        let obs = if env.trace_path.is_some() { obs::Obs::enabled() } else { obs::Obs::disabled() };
-        ObsSetup {
-            obs,
-            trace_path: env.trace_path,
-            profile: env.profile,
-            hotspots: env.hotspots,
-            env_owned: true,
+        match &cfg.obs {
+            Some(o) => ObsSetup { obs: o.clone(), owned: false },
+            None => ObsSetup {
+                obs: obs::Obs::new(cfg.trace_path.is_some(), cfg.flight_dump.clone()),
+                owned: true,
+            },
         }
     }
+}
+
+/// A config error surfaced through the interpreter's error type (the
+/// message names the variable or field).
+fn config_trap(e: ConfigError) -> InterpError {
+    InterpError::Trap(e.to_string())
 }
 
 /// A runnable application instance.
@@ -165,68 +156,19 @@ pub struct Runner {
     pub machine: Arc<Machine>,
     pub hooks: Arc<OmpiHooks>,
     hooks_dyn: Arc<dyn Hooks>,
-    /// Write the trace here on drop (`OMPI_TRACE` mode).
+    /// Write the trace here on drop (runner-owned sink, `OMPI_TRACE`).
     trace_path: Option<std::path::PathBuf>,
-    /// Print the profile table on drop (`OMPI_PROFILE` mode).
+    /// Print the profile table on drop (runner-owned sink, `OMPI_PROFILE`).
     profile_on_drop: bool,
-    /// Print the hotspot table on drop (`OMPI_HOTSPOTS` mode).
+    /// Print the hotspot table on drop (runner-owned sink, `OMPI_HOTSPOTS`).
     hotspots_on_drop: bool,
-    /// Fire the last-chance flight post-mortem on drop (env-var mode).
+    /// Fire the last-chance flight post-mortem on drop (runner-owned sink).
     flight_on_drop: bool,
     /// Wall-clock deadline armed on the machine at every guest call.
     job_timeout: Option<std::time::Duration>,
 }
 
 impl Runner {
-    /// Build the device registry for a kernel directory: `cfg.num_devices`
-    /// simulated GPUs, each with its own clock, broken-latch, and
-    /// device-scoped fault plan.
-    fn build_registry(
-        kernel_dir: &std::path::Path,
-        cfg: &ResolvedConfig,
-        obs: &Arc<obs::Obs>,
-    ) -> IResult<Arc<DeviceRegistry>> {
-        // Validate `OMPI_FAULT_PLAN` eagerly: lazy device initialization
-        // reports any init error as "device unavailable" (host fallback),
-        // which would silently turn a malformed plan into a fault-free
-        // run. A bad plan must fail construction loudly instead.
-        if cfg.fault_spec.is_none() && cfg.fault_plan.is_none() {
-            FaultPlan::from_env()
-                .map_err(|e| InterpError::Trap(format!("OMPI_FAULT_PLAN: {e}")))?;
-        }
-        let mut devices: Vec<Arc<dyn DeviceModule>> = Vec::with_capacity(cfg.num_devices);
-        for i in 0..cfg.num_devices {
-            let fault_plan = match &cfg.fault_spec {
-                Some(spec) => Some(Arc::new(
-                    FaultPlan::parse_for_device(spec, i as u32)
-                        .map_err(|e| InterpError::Trap(format!("fault plan: {e}")))?,
-                )),
-                // An explicit pre-parsed plan has no device scoping; it
-                // belongs to device 0 (the only device before the registry
-                // existed). Other devices still honour `OMPI_FAULT_PLAN`
-                // through their `device_id`.
-                None if i == 0 => cfg.fault_plan.clone(),
-                None => None,
-            };
-            devices.push(Arc::new(CudaDev::new(CudaDevConfig {
-                device_id: i as u32,
-                global_mem: cfg.device_mem,
-                kernel_dir: kernel_dir.to_path_buf(),
-                jit_cache_dir: cfg.jit_cache_dir.clone(),
-                exec_mode: cfg.exec_mode,
-                launch_sampling: cfg.launch_sampling,
-                async_streams: cfg.async_streams,
-                fault_plan,
-                retry: cfg.retry,
-                launch_timeout: cfg.launch_timeout,
-                max_resets: cfg.max_resets,
-                obs: obs.clone(),
-                ..CudaDevConfig::default()
-            })));
-        }
-        Ok(Arc::new(DeviceRegistry::new(devices)))
-    }
-
     /// The one constructor: every application — OpenMP or pure CUDA — runs
     /// against a registry-dispatched hook set; the only variation is
     /// whether kernel launches resolve through a fixed CUDA module.
@@ -238,21 +180,37 @@ impl Runner {
         cfg: &ResolvedConfig,
         setup: ObsSetup,
     ) -> IResult<Runner> {
-        // Guest limits come from the snapshot — `Machine` must not re-read
-        // `OMPI_GUEST_*` per job in a long-running server.
+        // Everything the machine needs comes from the snapshot — nothing
+        // is re-read per job in a long-running server.
         let machine = Machine::new_with_limits(host, host_info, cfg.host_mem, cfg.guest_limits())?;
+        machine.set_hotspots(cfg.hotspots);
         let hooks = Arc::new(OmpiHooks::new(registry, cuda_module, setup.obs));
         let hooks_dyn: Arc<dyn Hooks> = hooks.clone();
         Ok(Runner {
             machine,
             hooks,
             hooks_dyn,
-            trace_path: setup.trace_path,
-            profile_on_drop: setup.profile,
-            hotspots_on_drop: setup.hotspots,
-            flight_on_drop: setup.env_owned,
+            trace_path: cfg.trace_path.clone().filter(|_| setup.owned),
+            profile_on_drop: setup.owned && cfg.profile,
+            hotspots_on_drop: setup.owned && cfg.hotspots,
+            flight_on_drop: setup.owned,
             job_timeout: cfg.job_timeout,
         })
+    }
+
+    /// Run against a fleet of this runner's own, built from the snapshot.
+    fn with_own_fleet(
+        host: minic::ast::Program,
+        host_info: minic::sema::ProgramInfo,
+        kernel_dir: &std::path::Path,
+        cuda_module: Option<String>,
+        cfg: &ResolvedConfig,
+    ) -> IResult<Runner> {
+        let setup = ObsSetup::resolve(cfg);
+        let fleet = cfg.build_fleet(kernel_dir, &setup.obs);
+        let devices = fleet.into_iter().map(|d| d as Arc<dyn DeviceModule>).collect();
+        let registry = Arc::new(DeviceRegistry::new(devices));
+        Self::with_registry(host, host_info, registry, cuda_module, cfg, setup)
     }
 
     /// Instantiate a compiled OpenMP application.
@@ -264,10 +222,13 @@ impl Runner {
     /// ladder (OpenMP path only — the CUDA baseline manages raw device
     /// memory itself and would just crash).
     pub fn new(app: &CompiledApp, cfg: &RunnerConfig) -> IResult<Runner> {
-        let rc = ResolvedConfig::resolve(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        let setup = ObsSetup::resolve(&rc);
-        let registry = Self::build_registry(&app.kernel_dir, &rc, &setup.obs)?;
-        Self::with_registry(app.host.clone(), app.host_info.clone(), registry, None, &rc, setup)
+        Self::from_resolved(app, &ResolvedConfig::resolve(cfg).map_err(config_trap)?)
+    }
+
+    /// Instantiate a compiled OpenMP application from a config snapshot,
+    /// with a device fleet of its own. Nothing here reads the environment.
+    pub fn from_resolved(app: &CompiledApp, cfg: &ResolvedConfig) -> IResult<Runner> {
+        Self::with_own_fleet(app.host.clone(), app.host_info.clone(), &app.kernel_dir, None, cfg)
     }
 
     /// Instantiate a compiled OpenMP application against a caller-owned
@@ -286,16 +247,12 @@ impl Runner {
 
     /// Instantiate a compiled pure-CUDA application.
     pub fn new_cuda(app: &CompiledCudaApp, cfg: &RunnerConfig) -> IResult<Runner> {
-        let rc = ResolvedConfig::resolve_cuda(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        let setup = ObsSetup::resolve(&rc);
-        let registry = Self::build_registry(&app.kernel_dir, &rc, &setup.obs)?;
-        Self::with_registry(
+        Self::with_own_fleet(
             app.host.clone(),
             app.host_info.clone(),
-            registry,
+            &app.kernel_dir,
             Some(app.module_name.clone()),
-            &rc,
-            setup,
+            &ResolvedConfig::resolve_cuda(cfg).map_err(config_trap)?,
         )
     }
 
@@ -440,8 +397,8 @@ impl Runner {
 
     /// The guest-source hotspot table: VM dispatch attributed to source
     /// lines through the compiler's pc→line tables. Empty (with a hint)
-    /// unless the machine collected attribution (`OMPI_HOTSPOTS=1` or
-    /// [`Machine::set_hotspots`]).
+    /// unless the machine collected attribution (`OMPI_HOTSPOTS=1` in the
+    /// snapshot, or [`Machine::set_hotspots`]).
     pub fn hotspot_table(&self) -> String {
         let rows: Vec<obs::HotLine> = self
             .machine
@@ -475,10 +432,11 @@ impl Runner {
 }
 
 impl Drop for Runner {
-    /// Env-var mode export: `OMPI_TRACE` writes the trace JSON,
-    /// `OMPI_PROFILE` prints the profile table to stderr, `OMPI_HOTSPOTS`
-    /// the guest-source hotspot table. Explicit `RunnerConfig::obs` sinks
-    /// skip all three (the caller owns export).
+    /// Exports of a runner-owned sink, as the snapshot resolved them:
+    /// `OMPI_TRACE` writes the trace JSON, `OMPI_PROFILE` prints the
+    /// profile table to stderr, `OMPI_HOTSPOTS` the guest-source hotspot
+    /// table. Explicit `RunnerConfig::obs` sinks skip all three (the
+    /// caller owns export).
     fn drop(&mut self) {
         if let Some(path) = self.trace_path.take() {
             if let Err(e) = self.write_trace(&path) {
@@ -493,7 +451,7 @@ impl Drop for Runner {
         }
         // Last-chance flight dump (`OMPI_FLIGHT_DUMP` with no fault this
         // run): a no-op without a dump path, and first-trigger-wins if a
-        // latch or watchdog already dumped. Env-var mode only — with an
+        // latch or watchdog already dumped. Runner-owned sinks only — with an
         // explicit shared sink the caller owns the end-of-run trigger.
         if self.flight_on_drop {
             self.hooks.obs.flight.post_mortem("runner drop");

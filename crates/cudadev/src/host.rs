@@ -221,9 +221,9 @@ impl RetryPolicy {
 /// Configuration of a CudaDev instance.
 #[derive(Clone, Debug)]
 pub struct CudaDevConfig {
-    /// Logical device number in the registry; selects which `devN:`-scoped
-    /// rules of the `OMPI_FAULT_PLAN` environment variable apply when no
-    /// explicit `fault_plan` is given.
+    /// Logical device number in the registry, also the device's trace
+    /// process number. It does not select a fault plan: the caller scopes
+    /// `devN:` rules when it builds `fault_plan`.
     pub device_id: u32,
     /// Device DRAM size (bytes).
     pub global_mem: usize,
@@ -239,8 +239,8 @@ pub struct CudaDevConfig {
     /// for gramschmidt-style apps that launch thousands of kernels inside a
     /// host loop. Documented substitution — see DESIGN.md.
     pub launch_sampling: bool,
-    /// Deterministic fault-injection plan. `None` falls back to the
-    /// `OMPI_FAULT_PLAN` environment variable (see `gpusim::fault`).
+    /// Deterministic fault-injection plan (see `gpusim::fault`). `None`
+    /// means no faults; this crate never reads the environment.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Retry policy for transient driver faults.
     pub retry: RetryPolicy,
@@ -385,19 +385,7 @@ impl CudaDev {
         let obs = &self.cfg.obs;
         let init_span =
             obs.tracer.span(self.pid(), 0, "device init", "init", || self.now(), vec![]);
-        let plan = match self.cfg.fault_plan.clone() {
-            Some(p) => Some(p),
-            // A malformed OMPI_FAULT_PLAN is a typed, surfaced error —
-            // never a panic, never a silent fault-free run.
-            None => match FaultPlan::from_env_for_device(self.cfg.device_id) {
-                Ok(p) => p.map(Arc::new),
-                Err(e) => {
-                    return Err(CudadevError::Init(ExecError::Trap(format!(
-                        "OMPI_FAULT_PLAN: {e}"
-                    ))))
-                }
-            },
-        };
+        let plan = self.cfg.fault_plan.clone();
         if let Some(p) = &plan {
             if let Err(e) = p.check(FaultSite::Init) {
                 if e.is_terminal() {

@@ -42,35 +42,26 @@ struct State {
 /// One named barrier.
 pub struct NamedBarrier {
     id: u32,
+    timeout: Duration,
     st: Mutex<State>,
     cv: Condvar,
 }
 
-/// Default for how long a simulated barrier may block host-side before we
-/// declare the guest deadlocked.
+/// How long a simulated barrier may block host-side before we declare the
+/// guest deadlocked, unless the barrier was built with an explicit timeout.
 pub const BARRIER_HOST_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// The effective host-side deadlock timeout: `OMPI_BARRIER_TIMEOUT_MS`
-/// (milliseconds) when set and parseable, else [`BARRIER_HOST_TIMEOUT`].
-/// Read once per process; tests that need a short timeout (so a deadlock
-/// regression fails in ~200 ms instead of stalling 30 s) set the variable
-/// before the first barrier wait.
-pub fn barrier_host_timeout() -> Duration {
-    static TIMEOUT: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        std::env::var("OMPI_BARRIER_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-            .unwrap_or(BARRIER_HOST_TIMEOUT)
-    })
-}
 
 impl NamedBarrier {
     pub fn new(id: u32) -> NamedBarrier {
+        NamedBarrier::with_timeout(id, BARRIER_HOST_TIMEOUT)
+    }
+
+    /// A barrier that reports a deadlock after `timeout` of host-side
+    /// waiting instead of [`BARRIER_HOST_TIMEOUT`].
+    pub fn with_timeout(id: u32, timeout: Duration) -> NamedBarrier {
         NamedBarrier {
             id,
+            timeout,
             st: Mutex::new(State { arrived: 0, generation: 0, max_cycles: 0, release_cycles: 0 }),
             cv: Condvar::new(),
         }
@@ -94,7 +85,7 @@ impl NamedBarrier {
         }
         let gen = st.generation;
         loop {
-            if self.cv.wait_for(&mut st, barrier_host_timeout()).timed_out() {
+            if self.cv.wait_for(&mut st, self.timeout).timed_out() {
                 let arrived = st.arrived;
                 // Undo our arrival so a late retry does not double-count.
                 st.arrived = st.arrived.saturating_sub(timing::WARP_SIZE);
@@ -178,5 +169,35 @@ mod tests {
                 assert_eq!(h.join().unwrap(), round * 1000 + 1 + timing::BARRIER_LAT);
             }
         }
+    }
+
+    /// A deadlocked guest fails in ~200 ms instead of stalling for the
+    /// 30 s production default when the barrier carries a short timeout.
+    #[test]
+    fn deadlocked_barrier_times_out_quickly() {
+        // One warp arrives at a barrier expecting two warps (64 threads);
+        // the second warp never comes — a guest deadlock.
+        let b = Arc::new(NamedBarrier::with_timeout(3, Duration::from_millis(200)));
+        let start = std::time::Instant::now();
+        let mut cycles = 0u64;
+        let err = b.sync(64, &mut cycles).expect_err("lone warp must time out");
+        let waited = start.elapsed();
+
+        assert_eq!(err.barrier, 3);
+        assert_eq!(err.expected_threads, 64);
+        assert_eq!(err.arrived_threads, 32);
+        assert!(waited.as_millis() >= 180, "returned before the timeout: {waited:?}");
+        assert!(waited.as_secs() < 5, "explicit timeout not honoured: waited {waited:?}");
+
+        // The failed arrival was undone, so a matching second warp can
+        // still complete the barrier afterwards.
+        let b2 = b.clone();
+        let t = std::thread::spawn(move || {
+            let mut c = 0u64;
+            b2.sync(64, &mut c).map(|_| c)
+        });
+        let mut c = 0u64;
+        b.sync(64, &mut c).expect("retry after timeout must succeed");
+        t.join().unwrap().expect("peer warp must be released");
     }
 }

@@ -120,33 +120,6 @@ impl Default for GuestLimits {
 }
 
 impl GuestLimits {
-    /// Limits from the environment: `OMPI_GUEST_FUEL` (instructions),
-    /// `OMPI_GUEST_MEM` (bytes, size suffixes allowed), `OMPI_GUEST_STACK`
-    /// (frames). Malformed values are a loud, typed error — a mistyped
-    /// limit must not silently mean "unlimited".
-    pub fn from_env() -> Result<GuestLimits, String> {
-        let l = GuestLimits::default();
-        if let Ok(v) = std::env::var("OMPI_GUEST_FUEL") {
-            let n = v
-                .trim()
-                .parse::<u64>()
-                .map_err(|_| format!("OMPI_GUEST_FUEL: `{v}` is not an instruction count"))?;
-            l.set_fuel(Some(n));
-        }
-        if let Ok(v) = std::env::var("OMPI_GUEST_MEM") {
-            let n = vmcommon::fmt::parse_size(&v).map_err(|e| format!("OMPI_GUEST_MEM: {e}"))?;
-            l.set_mem_limit(Some(n));
-        }
-        if let Ok(v) = std::env::var("OMPI_GUEST_STACK") {
-            let n = v
-                .trim()
-                .parse::<u32>()
-                .map_err(|_| format!("OMPI_GUEST_STACK: `{v}` is not a frame count"))?;
-            l.set_stack_limit(n);
-        }
-        Ok(l)
-    }
-
     // ------------------------------------------------------------- fuel
 
     /// Install (or clear) the instruction budget, refilling the pool.

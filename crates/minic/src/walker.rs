@@ -5,8 +5,8 @@
 //! run [`crate::vm::Vm`] through the [`crate::interp::Interp`] façade.
 //! The walker survives because its semantics are the executable
 //! specification: differential tests run both engines over the same
-//! programs and assert bit-identical results (`OMPI_ENGINE=walker`
-//! switches production paths back for A/B measurement).
+//! programs and assert bit-identical results (`Machine::set_engine`, or
+//! fig4's `--engine walker`, switches a machine back for A/B measurement).
 
 use std::sync::Arc;
 

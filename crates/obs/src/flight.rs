@@ -13,8 +13,8 @@
 //! most once per recorder (first trigger wins): `cudadev` calls it when a
 //! watchdog timeout is charged and when the circuit breaker latches a
 //! device, and the `core` runner calls it at drop. A dump is only written
-//! when a path was configured — normally via the `OMPI_FLIGHT_DUMP=path`
-//! environment variable, read once at [`crate::Obs`] construction — so
+//! when a path was configured — normally from `OMPI_FLIGHT_DUMP=path`,
+//! which the runner's config snapshot passes to [`crate::Obs::new`] — so
 //! ordinary runs and tests never touch the filesystem.
 
 use std::path::{Path, PathBuf};
@@ -72,15 +72,6 @@ impl FlightRecorder {
             dump_path,
             dumped: AtomicBool::new(false),
         }
-    }
-
-    /// A recorder whose dump path comes from `OMPI_FLIGHT_DUMP`.
-    pub fn from_env() -> FlightRecorder {
-        let path = std::env::var("OMPI_FLIGHT_DUMP")
-            .ok()
-            .filter(|s| !s.trim().is_empty())
-            .map(PathBuf::from);
-        FlightRecorder::with_path(path)
     }
 
     /// Append one entry, overwriting the oldest once the ring is full.

@@ -19,13 +19,12 @@
 //! layer. A disabled handle is a single relaxed atomic load per event, so
 //! instrumentation can stay unconditional in hot paths.
 //!
-//! Runtime control is environment-driven, parallel to `OMPI_FAULT_PLAN`:
-//! `OMPI_TRACE=path.json` enables the tracer and writes the trace when the
-//! runner is dropped; `OMPI_PROFILE=1` prints the per-device profile table
-//! (see [`profile::render_profile`]) to stderr; `OMPI_HOTSPOTS=1` prints
-//! the guest-source hotspot table (see [`hotspots::render_hotspots`]);
-//! and `OMPI_FLIGHT_DUMP=path.jsonl` arms the always-on [`FlightRecorder`]
-//! ring's post-mortem dump.
+//! This crate never reads the environment. The runner's config snapshot
+//! resolves `OMPI_TRACE` (enable the tracer, write the trace on drop),
+//! `OMPI_PROFILE` (print [`profile::render_profile`]'s table),
+//! `OMPI_HOTSPOTS` (print [`hotspots::render_hotspots`]'s table) and
+//! `OMPI_FLIGHT_DUMP` (the [`FlightRecorder`]'s post-mortem dump path),
+//! and passes the values in through [`Obs::new`].
 
 pub mod flight;
 pub mod hotspots;
@@ -50,8 +49,7 @@ pub struct Obs {
     pub tracer: Tracer,
     pub metrics: Metrics,
     /// Always-on post-mortem ring, shared with (and fed by) both
-    /// recorders above. Its dump path comes from `OMPI_FLIGHT_DUMP`,
-    /// read once here at construction.
+    /// recorders above.
     pub flight: Arc<FlightRecorder>,
 }
 
@@ -60,16 +58,19 @@ impl Obs {
     /// still count (they are cheap and power the profile table), and the
     /// flight ring keeps the most recent events for post-mortems.
     pub fn disabled() -> Arc<Obs> {
-        Obs::with_tracing(false)
+        Obs::new(false, None)
     }
 
     /// A recording handle.
     pub fn enabled() -> Arc<Obs> {
-        Obs::with_tracing(true)
+        Obs::new(true, None)
     }
 
-    fn with_tracing(tracing: bool) -> Arc<Obs> {
-        let flight = Arc::new(FlightRecorder::from_env());
+    /// A handle with the tracer on or off, whose flight recorder dumps to
+    /// `flight_dump` on its first post-mortem trigger (`None` = record
+    /// only).
+    pub fn new(tracing: bool, flight_dump: Option<PathBuf>) -> Arc<Obs> {
+        let flight = Arc::new(FlightRecorder::with_path(flight_dump));
         Arc::new(Obs {
             tracer: Tracer::with_flight(tracing, flight.clone()),
             metrics: Metrics::with_flight(flight.clone()),
@@ -97,34 +98,6 @@ impl fmt::Debug for Obs {
             .field("tracing", &self.tracer.is_enabled())
             .field("events", &self.tracer.len())
             .finish()
-    }
-}
-
-/// Environment-variable controls, read once per runner.
-#[derive(Clone, Debug, Default)]
-pub struct ObsEnv {
-    /// `OMPI_TRACE=path.json`: write a Chrome trace here on runner drop.
-    pub trace_path: Option<PathBuf>,
-    /// `OMPI_PROFILE=1`: print the per-device profile table on runner drop.
-    pub profile: bool,
-    /// `OMPI_HOTSPOTS=1`: print the guest-source hotspot table on runner
-    /// drop (the VM collects attribution when the machine sees the same
-    /// variable).
-    pub hotspots: bool,
-}
-
-impl ObsEnv {
-    /// Read `OMPI_TRACE` / `OMPI_PROFILE` / `OMPI_HOTSPOTS` from the
-    /// process environment.
-    pub fn from_env() -> ObsEnv {
-        // Display flags stay forgiving (an unrecognized value is just
-        // "off"), but route through the one strict vocabulary so
-        // `OMPI_PROFILE=off` can never mean "on".
-        let flag =
-            |name: &str| std::env::var(name).ok().and_then(|v| parse_bool(&v)).unwrap_or(false);
-        let trace_path =
-            std::env::var("OMPI_TRACE").ok().filter(|s| !s.trim().is_empty()).map(PathBuf::from);
-        ObsEnv { trace_path, profile: flag("OMPI_PROFILE"), hotspots: flag("OMPI_HOTSPOTS") }
     }
 }
 

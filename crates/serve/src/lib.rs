@@ -120,8 +120,9 @@ pub enum ServeError {
         owner: String,
     },
     Compile(String),
+    /// A malformed config value or fault plan, naming the variable or
+    /// field it came from.
     Config(ompi_core::ConfigError),
-    FaultPlan(String),
     Io(String),
     /// The server is shutting down; no new jobs.
     Shutdown,
@@ -138,7 +139,6 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Compile(e) => write!(f, "compile: {e}"),
             ServeError::Config(e) => write!(f, "config: {e}"),
-            ServeError::FaultPlan(e) => write!(f, "fault plan: {e}"),
             ServeError::Io(e) => write!(f, "io: {e}"),
             ServeError::Shutdown => write!(f, "server is shutting down"),
         }

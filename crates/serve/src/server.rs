@@ -24,9 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cudadev::{CudaDev, CudaDevConfig};
-use gpusim::FaultPlan;
-use ompi_core::{CompiledApp, Ompicc, ResolvedConfig, Runner};
+use cudadev::CudaDev;
+use ompi_core::{CompiledApp, Ompicc, ResolvedConfig, Runner, RunnerConfig};
 use vmcommon::sync::{Condvar, Mutex};
 use vmcommon::Value;
 
@@ -69,48 +68,18 @@ pub struct Server {
 
 impl Server {
     /// Build the server: resolve config against the environment (the only
-    /// env read in the server's lifetime), construct the fleet, validate
-    /// every device's fault plan eagerly.
+    /// env read in the server's lifetime, which also parses and checks
+    /// every device's fault plan) and construct the fleet.
     pub fn new(cfg: &ServeConfig) -> Result<Server, ServeError> {
-        let mut rc = ResolvedConfig::resolve(&cfg.runner).map_err(ServeError::Config)?;
-        let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
+        let runner =
+            RunnerConfig { num_devices: cfg.runner.num_devices.max(1), ..cfg.runner.clone() };
+        let mut rc = ResolvedConfig::resolve(&runner).map_err(ServeError::Config)?;
+        let obs = rc.obs.clone().unwrap_or_else(|| obs::Obs::new(false, rc.flight_dump.clone()));
         rc.obs = Some(obs.clone());
 
         let kernel_dir = cfg.work_dir.join("kernels");
         std::fs::create_dir_all(&kernel_dir).map_err(|e| ServeError::Io(e.to_string()))?;
-
-        let n = rc.num_devices.max(1);
-        let mut fleet = Vec::with_capacity(n);
-        for i in 0..n {
-            // Fault plans resolve at startup, not at lazy device init: a
-            // malformed `OMPI_FAULT_PLAN` must fail server construction,
-            // never surface later as one tenant's mysterious host run.
-            let fault_plan = match (&rc.fault_spec, i, &rc.fault_plan) {
-                (Some(spec), _, _) => Some(Arc::new(
-                    FaultPlan::parse_for_device(spec, i as u32)
-                        .map_err(|e| ServeError::FaultPlan(e.to_string()))?,
-                )),
-                (None, 0, Some(p)) => Some(p.clone()),
-                _ => FaultPlan::from_env_for_device(i as u32)
-                    .map_err(|e| ServeError::FaultPlan(e.to_string()))?
-                    .map(Arc::new),
-            };
-            fleet.push(Arc::new(CudaDev::new(CudaDevConfig {
-                device_id: i as u32,
-                global_mem: rc.device_mem,
-                kernel_dir: kernel_dir.clone(),
-                jit_cache_dir: rc.jit_cache_dir.clone(),
-                exec_mode: rc.exec_mode,
-                launch_sampling: rc.launch_sampling,
-                async_streams: rc.async_streams,
-                fault_plan,
-                retry: rc.retry,
-                launch_timeout: rc.launch_timeout,
-                max_resets: rc.max_resets,
-                obs: obs.clone(),
-                ..CudaDevConfig::default()
-            })));
-        }
+        let fleet = rc.build_fleet(&kernel_dir, &obs);
 
         let worker_count = if cfg.workers == 0 { fleet.len().max(1) } else { cfg.workers };
         let serve_pid = fleet.len() as u64 + 1;

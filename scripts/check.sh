@@ -36,6 +36,25 @@ for f in $(find crates/core/src crates/obs/src crates/serve/src -name '*.rs') $m
 done
 [ "$oversized" -eq 0 ] || exit 1
 
+echo "== environment reads (one config snapshot) =="
+# Library crates take explicit values; the environment is read in one
+# place. Allowlist, one reason each:
+#   crates/core/src/runner/config.rs  ResolvedConfig::resolve, the config
+#                                     snapshot and only reader of OMPI_*
+#   crates/bench/src/bin/             bench binaries sit at the process
+#                                     edge (fig4 reads OMPI_FLIGHT_DUMP for
+#                                     the explicit sink its runners share)
+#   crates/hostomp/src/lib.rs         OMP_NUM_THREADS, the standard OpenMP
+#                                     ICV, not an OMPI_* knob
+env_reads=$(grep -rnE 'env::var|var_os|set_var' crates/*/src \
+    | grep -v -e '^crates/core/src/runner/config\.rs:' -e '^crates/bench/src/bin/' \
+        -e '^crates/hostomp/src/lib\.rs:' || true)
+if [ -n "$env_reads" ]; then
+    echo "FAIL: environment access outside the allowlist:"
+    echo "$env_reads"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

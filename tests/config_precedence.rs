@@ -282,3 +282,190 @@ fn runner_new_reports_malformed_env() {
         assert_eq!(runner.run_main().unwrap(), ompi_nano::Value::I32(0));
     });
 }
+
+/// The obs variables map onto the snapshot fields a runner-owned sink is
+/// built from; an explicit sink leaves them unread.
+#[test]
+fn obs_env_fills_runner_owned_sink_settings() {
+    let trace = std::env::temp_dir().join("ompinano-precedence-trace.json");
+    let dump = std::env::temp_dir().join("ompinano-precedence-flight.jsonl");
+    let vars = [
+        ("OMPI_TRACE", Some(trace.to_str().unwrap())),
+        ("OMPI_PROFILE", Some("on")),
+        ("OMPI_HOTSPOTS", Some("1")),
+        ("OMPI_FLIGHT_DUMP", Some(dump.to_str().unwrap())),
+    ];
+    with_env(&vars, || {
+        let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
+        assert_eq!(rc.trace_path.as_deref(), Some(trace.as_path()));
+        assert!(rc.profile);
+        assert!(rc.hotspots);
+        assert_eq!(rc.flight_dump.as_deref(), Some(dump.as_path()));
+
+        let cfg = RunnerConfig { obs: Some(obs::Obs::disabled()), ..Default::default() };
+        let rc = ResolvedConfig::resolve(&cfg).unwrap();
+        assert_eq!(rc.trace_path, None, "an explicit sink owns export");
+        assert!(!rc.profile && !rc.hotspots);
+        assert_eq!(rc.flight_dump, None);
+    });
+    // Display flags are forgiving but strict about polarity.
+    let off = [
+        ("OMPI_TRACE", Some(" ")),
+        ("OMPI_PROFILE", Some("off")),
+        ("OMPI_HOTSPOTS", Some("banana")),
+        ("OMPI_FLIGHT_DUMP", None),
+    ];
+    with_env(&off, || {
+        let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
+        assert_eq!(rc.trace_path, None);
+        assert!(!rc.profile && !rc.hotspots);
+        assert_eq!(rc.flight_dump, None);
+    });
+}
+
+/// `OMPI_FAULT_PLAN` applies per device, only to devices the config left
+/// unset, and is parsed at resolve time.
+#[test]
+fn fault_plan_env_fills_only_unset_devices() {
+    let rules = |p: Option<std::sync::Arc<ompi_nano::FaultPlan>>| p.map(|p| !p.is_empty());
+    with_env(&[("OMPI_FAULT_PLAN", Some("launch@1x1,dev1:h2d@2"))], || {
+        let cfg = RunnerConfig { num_devices: 3, ..Default::default() };
+        let rc = ResolvedConfig::resolve(&cfg).unwrap();
+        assert_eq!(rules(rc.fault_plan_of(0)), Some(true));
+        assert_eq!(rules(rc.fault_plan_of(1)), Some(true));
+        assert_eq!(rules(rc.fault_plan_of(2)), None, "no rules for dev2 means no plan");
+
+        // An explicit device-0 plan wins there; device 1 still takes env.
+        let explicit = std::sync::Arc::new(ompi_nano::FaultPlan::parse("d2h@3").unwrap());
+        let cfg = RunnerConfig { num_devices: 2, fault_plan: Some(explicit.clone()), ..cfg };
+        let rc = ResolvedConfig::resolve(&cfg).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&rc.fault_plan.clone().unwrap(), &explicit));
+        assert_eq!(rules(rc.fault_plan_of(1)), Some(true));
+
+        // An explicit spec sets every device: the env plan is unread.
+        let cfg = RunnerConfig { fault_spec: Some("dev1:launch@2".into()), ..cfg };
+        let rc = ResolvedConfig::resolve(&cfg).unwrap();
+        assert_eq!(rules(rc.fault_plan_of(0)), Some(false));
+        assert_eq!(rules(rc.fault_plan_of(1)), Some(true));
+    });
+    with_env(&[("OMPI_FAULT_PLAN", Some("launch@0"))], || {
+        let cfg = RunnerConfig { fault_spec: Some("launch@1".into()), ..Default::default() };
+        assert!(ResolvedConfig::resolve(&cfg).is_ok(), "malformed env under explicit spec");
+        match ResolvedConfig::resolve(&RunnerConfig::default()) {
+            Err(ConfigError::FaultPlan { var: "OMPI_FAULT_PLAN", .. }) => {}
+            other => panic!("a malformed plan must be a typed FaultPlan error, got {other:?}"),
+        }
+    });
+}
+
+/// The silent host fallback: an explicit `fault_plan` covers device 0
+/// only, so a malformed `OMPI_FAULT_PLAN` would apply to device 1 and must
+/// fail construction of both the runner and the server — not turn device
+/// 1's lazy init into a host run. With one device the env plan applies to
+/// nothing and stays unread.
+#[test]
+fn malformed_fault_plan_env_for_an_unset_device_is_a_typed_error() {
+    use ompi_nano::serve::{ServeConfig, ServeError, Server};
+    with_env(&[("OMPI_FAULT_PLAN", Some("launch@0"))], || {
+        let dir = std::env::temp_dir().join(format!("ompinano-silent-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = Ompicc::new(&dir).compile(TRIVIAL).unwrap();
+        let plan = std::sync::Arc::new(ompi_nano::FaultPlan::parse("d2h@9").unwrap());
+        let cfg = RunnerConfig { num_devices: 2, fault_plan: Some(plan), ..Default::default() };
+
+        let err = Runner::new(&app, &cfg).err().expect("Runner::new must reject the env plan");
+        assert!(err.to_string().contains("OMPI_FAULT_PLAN"), "got: {err}");
+        let mut scfg = ServeConfig::new(dir.join("serve"));
+        scfg.runner = cfg.clone();
+        match Server::new(&scfg) {
+            Err(ServeError::Config(e @ ConfigError::FaultPlan { .. })) => {
+                assert!(e.to_string().contains("OMPI_FAULT_PLAN"), "got: {e}");
+            }
+            Err(e) => panic!("expected a typed config error, got {e}"),
+            Ok(_) => panic!("Server::new must reject the env plan"),
+        }
+
+        let one = RunnerConfig { num_devices: 1, ..cfg };
+        let runner = Runner::new(&app, &one).expect("env plan applies to no device");
+        assert_eq!(runner.run_main().unwrap(), ompi_nano::Value::I32(0));
+        scfg.runner = one;
+        assert!(Server::new(&scfg).is_ok());
+    });
+}
+
+/// The snapshot is the only env read: variables set after `Runner::new` /
+/// `Server::new` must not reach lazy device init or a job's machine.
+#[test]
+fn env_set_after_construction_does_not_reach_jobs() {
+    use ompi_nano::serve::{JobSpec, ServeConfig, Server};
+    use ompi_nano::{DeviceModule, DeviceRegistry};
+    let late = [("OMPI_FAULT_PLAN", None), ("OMPI_HOTSPOTS", None)];
+    with_env(&late, || {
+        let set_late = || {
+            std::env::set_var("OMPI_FAULT_PLAN", "init@1x*");
+            std::env::set_var("OMPI_HOTSPOTS", "1");
+        };
+        let dir = std::env::temp_dir().join(format!("ompinano-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = Ompicc::new(&dir).compile(TRIVIAL).unwrap();
+
+        let runner = Runner::new(&app, &RunnerConfig::default()).unwrap();
+        set_late();
+        assert_eq!(runner.run_main().unwrap(), ompi_nano::Value::I32(0));
+        assert!(!runner.device_broken(), "a late OMPI_FAULT_PLAN latched the device");
+        assert_eq!(runner.dev_clock().launches, 1, "the region must run on the device");
+        assert!(!runner.machine.hotspots_enabled());
+        drop(runner);
+
+        std::env::remove_var("OMPI_FAULT_PLAN");
+        std::env::remove_var("OMPI_HOTSPOTS");
+        let server = Server::new(&ServeConfig::new(dir.join("serve"))).unwrap();
+        set_late();
+        let program = server.register_program("t", TRIVIAL).unwrap();
+        let job = server.submit("t", JobSpec::new(program)).unwrap();
+        server.start();
+        let r = server.wait(job);
+        assert_eq!(r.value, Ok(ompi_nano::Value::I32(0)));
+        assert_eq!(r.device, Some(0));
+        let dev = server.device(0).unwrap();
+        assert!(!dev.is_broken(), "a late OMPI_FAULT_PLAN latched the device");
+        assert_eq!(DeviceModule::clock(&**dev).launches, 1, "the job must run on the device");
+        let registry = std::sync::Arc::new(DeviceRegistry::new(vec![]));
+        let job_runner = Runner::with_shared_registry(&app, registry, server.resolved()).unwrap();
+        assert!(!job_runner.machine.hotspots_enabled(), "a late OMPI_HOTSPOTS reached a job");
+    });
+}
+
+/// `OMPI_GUEST_FUEL` configures the governor end to end for runs that
+/// never touch `RunnerConfig` (fig4, external harnesses).
+#[test]
+fn guest_fuel_env_applies_end_to_end() {
+    const HOSTILE_LOOP: &str = "int main() { while (1); return 0; }";
+    with_env(&[("OMPI_GUEST_FUEL", Some("30000"))], || {
+        let dir = std::env::temp_dir().join(format!("ompinano-fuel-env-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = Ompicc::new(&dir).compile(HOSTILE_LOOP).unwrap();
+        let runner = Runner::new(&app, &RunnerConfig::default()).unwrap();
+        let err = runner.run_main().expect_err("env-configured budget must apply");
+        assert_eq!(
+            err.to_string(),
+            "guest limit: guest fuel exhausted (budget 30000 instructions)"
+        );
+    });
+}
+
+/// A malformed limit env var is a typed construction error, not a silent
+/// unlimited run.
+#[test]
+fn malformed_guest_limit_env_fails_runner_new() {
+    with_env(&[("OMPI_GUEST_FUEL", Some("lots"))], || {
+        let dir = std::env::temp_dir().join(format!("ompinano-fuel-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = Ompicc::new(&dir).compile("int main() { return 0; }").unwrap();
+        let e = Runner::new(&app, &RunnerConfig::default())
+            .err()
+            .expect("a bad budget must not be ignored")
+            .to_string();
+        assert!(e.contains("OMPI_GUEST_FUEL"), "error must name the variable, got: {e}");
+    });
+}

@@ -1,9 +1,9 @@
 //! Observability integration tests: the Chrome-trace export of a
 //! two-device run with injected faults (retry spans nested under launches,
 //! fallback attributed to the host process), the per-device profile table,
-//! and the `OMPI_TRACE` environment-variable path.
+//! and the drop-time trace export of a runner that owns its sink.
 
-use ompi_nano::{Ompicc, Runner, RunnerConfig, Value};
+use ompi_nano::{Ompicc, ResolvedConfig, Runner, RunnerConfig, Value};
 
 /// Two offloaded loops pinned to devices 0 and 1 (saxpy-shaped bodies).
 const TWO_DEV: &str = r#"
@@ -176,25 +176,31 @@ fn profile_rows_sum_to_device_clock_totals() {
     }
 }
 
-/// `OMPI_TRACE=path` (no explicit sink) makes the runner write the trace
-/// on drop. Serial with respect to the other tests in this binary: they
-/// all pass explicit sinks, which ignore the environment.
+/// A snapshot with a trace path and no explicit sink (what `OMPI_TRACE`
+/// resolves to) makes the runner create a tracing sink of its own and
+/// write the trace on drop.
 #[test]
-fn ompi_trace_env_var_writes_trace_on_drop() {
-    let path = std::env::temp_dir().join(format!("ompinano-trace-env-{}.json", std::process::id()));
+fn runner_owned_sink_writes_trace_on_drop() {
+    let path =
+        std::env::temp_dir().join(format!("ompinano-trace-owned-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    std::env::set_var("OMPI_TRACE", &path);
-    let app = compile("envvar");
+    let app = compile("owned");
+    let cfg = RunnerConfig { num_devices: 2, ..Default::default() };
+    let rc = ResolvedConfig {
+        obs: None,
+        trace_path: Some(path.clone()),
+        ..ResolvedConfig::resolve(&cfg).unwrap()
+    };
     {
-        let runner = Runner::new(&app, &RunnerConfig::default()).unwrap();
+        let runner = Runner::from_resolved(&app, &rc).unwrap();
+        assert!(runner.obs().tracer.is_enabled(), "a trace path turns the tracer on");
         assert_eq!(runner.run_main().unwrap(), Value::I32(0));
         // Trace written on drop.
     }
-    std::env::remove_var("OMPI_TRACE");
 
-    let text = std::fs::read_to_string(&path).expect("runner drop must write OMPI_TRACE file");
+    let text = std::fs::read_to_string(&path).expect("runner drop must write the trace file");
     let _ = std::fs::remove_file(&path);
-    let parsed = obs::json::parse(&text).expect("env-var trace must be valid JSON");
+    let parsed = obs::json::parse(&text).expect("drop-time trace must be valid JSON");
     let arr = parsed.as_array().unwrap();
     assert!(
         arr.iter().any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X")),
